@@ -13,7 +13,8 @@
 //!    digest (asserted unconditionally; a perf win that changes bits is a
 //!    bug, not a win).
 //! 2. **Fusion** — the fused loop beats the two-pass `run_unfused`
-//!    reference single-threaded (asserted unconditionally).
+//!    reference (a copy of the loop built from public primitives, below)
+//!    single-threaded (asserted unconditionally).
 //! 3. **Columnar** — the columnar path beats the row path at the largest
 //!    size, single-threaded (asserted unconditionally in the full run:
 //!    layout wins don't need extra cores). The smallest size where it
@@ -30,14 +31,21 @@
 //! runs the full sweep with `CRH_BENCH_JSON=BENCH_core.json` and uploads
 //! the artifact.
 
+use std::collections::HashMap;
+
 use crh_bench::microbench::{BenchmarkId, Harness, Throughput};
 use crh_core::ids::{ObjectId, SourceId};
+use crh_core::par::Pool;
 use crh_core::persist::{digest64, Enc};
 use crh_core::rng::{Pcg64, Rng};
 use crh_core::schema::Schema;
-use crh_core::solver::{CrhBuilder, CrhResult};
-use crh_core::table::{ObservationTable, TableBuilder};
+use crh_core::solver::{
+    deviation_matrix_into, fit_all_into, objective, source_losses_mat, CrhBuilder, CrhResult,
+    PreparedProblem, PropertyNorm, SolverScratch,
+};
+use crh_core::table::{ObservationTable, TableBuilder, TruthTable};
 use crh_core::value::Value;
+use crh_core::weights::{LogMax, WeightAssigner};
 
 /// Object counts for the size sweep; entries ≈ 4 × objects, observations
 /// ≈ 34 × objects. The last size is ~1M entries / ~8.5M observations.
@@ -47,6 +55,7 @@ const SIZES: [u32; 4] = [250, 2_500, 25_000, 250_000];
 const PROBE_SIZE: u32 = 2_500;
 const SOURCES: u32 = 10;
 const MAX_ITERS: usize = 8;
+const TOL: f64 = 1e-12;
 const COL_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Seeded mixed table: `objects` × (2 continuous + 2 categorical)
@@ -97,9 +106,54 @@ fn solver(columnar: bool, threads: usize) -> crh_core::solver::Crh {
         .columnar(columnar)
         .threads(threads)
         .max_iters(MAX_ITERS)
-        .tolerance(1e-12)
+        .tolerance(TOL)
         .build()
         .unwrap()
+}
+
+/// The pre-fusion loop that `solver(true, 1)` replaces: the same kernels,
+/// settings and convergence rule, but a separate deviation pass for Step I
+/// and for the convergence check — two sweeps per iteration instead of one.
+fn run_unfused(table: &ObservationTable) -> CrhResult {
+    let prepared = PreparedProblem::new_with_layout(table, &HashMap::new(), true).unwrap();
+    let pool = Pool::new(1);
+    let mut scratch = SolverScratch::for_table(table);
+    let price = |truths: &TruthTable, scratch: &mut SolverScratch| {
+        deviation_matrix_into(&prepared, truths, &pool, scratch);
+        source_losses_mat(
+            scratch.dev(),
+            table.source_counts(),
+            PropertyNorm::SumToOne,
+            true,
+        )
+    };
+    let mut weights = vec![1.0; table.num_sources()];
+    let mut truths = TruthTable::new(Vec::new());
+    fit_all_into(&prepared, &weights, &pool, &mut truths);
+    let mut trace: Vec<f64> = Vec::new();
+    let mut converged = false;
+    let mut iterations = 0;
+    while iterations < MAX_ITERS {
+        iterations += 1;
+        weights = LogMax.assign(&price(&truths, &mut scratch));
+        fit_all_into(&prepared, &weights, &pool, &mut truths);
+        let f = objective(&weights, &price(&truths, &mut scratch));
+        let rel = trace
+            .last()
+            .map(|&prev: &f64| (prev - f).abs() / prev.abs().max(1.0));
+        trace.push(f);
+        if rel.is_some_and(|r| r <= TOL) {
+            converged = true;
+            break;
+        }
+    }
+    CrhResult {
+        truths,
+        weights,
+        objective_trace: trace,
+        iterations,
+        converged,
+    }
 }
 
 fn digest(res: &CrhResult) -> u64 {
@@ -142,7 +196,7 @@ fn assert_digest_invariance(cores: usize) {
             "columnar path: threads={threads} diverged from the row path"
         );
     }
-    let unfused = digest(&solver(true, 1).run_unfused(&table).unwrap());
+    let unfused = digest(&run_unfused(&table));
     assert_eq!(
         unfused, reference,
         "the unfused reference diverged from the fused loop"
@@ -208,9 +262,7 @@ fn bench_core(c: &mut Harness) {
     g.bench_function("fused/1", |b| {
         b.iter(|| solver(true, 1).run(&probe).unwrap())
     });
-    g.bench_function("unfused/1", |b| {
-        b.iter(|| solver(true, 1).run_unfused(&probe).unwrap())
-    });
+    g.bench_function("unfused/1", |b| b.iter(|| run_unfused(&probe)));
     g.finish();
 
     // Derived metrics: pinned into the JSON artifact alongside raw timings.

@@ -14,26 +14,18 @@
 
 use std::collections::HashMap;
 
+use crate::descent::{Config, Descent, WeightModel};
 use crate::error::{CrhError, Result};
 use crate::ids::{ObjectId, PropertyId};
-use crate::par::Pool;
-use crate::solver::{
-    dev_kernel, fit_kernel, fused_fit_dev, objective, source_losses_rows, KernelSpec,
-    KernelWeights, PreparedProblem, PropertyNorm, SolverScratch,
-};
+use crate::solver::{CrhResult, PreparedProblem};
 use crate::table::{ObservationTable, TruthTable};
-use crate::weights::{LogMax, WeightAssigner};
+use crate::weights::WeightAssigner;
 
 /// CRH with per-property-group source weights.
+#[derive(Debug)]
 pub struct FineGrainedCrh {
     groups: Vec<Vec<PropertyId>>,
-    assigner: Box<dyn WeightAssigner>,
-    max_iters: usize,
-    tol: f64,
-    property_norm: PropertyNorm,
-    count_normalize: bool,
-    threads: usize,
-    columnar: bool,
+    cfg: Config,
 }
 
 /// Result of a fine-grained run.
@@ -49,6 +41,19 @@ pub struct FineGrainedResult {
     pub iterations: usize,
     /// Whether convergence was reached before the iteration cap.
     pub converged: bool,
+}
+
+impl FineGrainedResult {
+    /// The plain-CRH view of a single-block result.
+    pub(crate) fn into_plain(self) -> CrhResult {
+        CrhResult {
+            truths: self.truths,
+            weights: self.weights.into_iter().next().unwrap_or_default(),
+            objective_trace: self.objective_trace,
+            iterations: self.iterations,
+            converged: self.converged,
+        }
+    }
 }
 
 impl FineGrainedCrh {
@@ -72,13 +77,7 @@ impl FineGrainedCrh {
         }
         Ok(Self {
             groups,
-            assigner: Box::new(LogMax),
-            max_iters: 100,
-            tol: 1e-6,
-            property_norm: PropertyNorm::SumToOne,
-            count_normalize: true,
-            threads: 0,
-            columnar: true,
+            cfg: Config::default(),
         })
     }
 
@@ -93,13 +92,13 @@ impl FineGrainedCrh {
 
     /// Replace the weight assigner.
     pub fn weight_assigner(mut self, a: impl WeightAssigner + 'static) -> Self {
-        self.assigner = Box::new(a);
+        self.cfg.assigner = Box::new(a);
         self
     }
 
     /// Cap the number of iterations.
     pub fn max_iters(mut self, n: usize) -> Self {
-        self.max_iters = n;
+        self.cfg.max_iters = n;
         self
     }
 
@@ -107,21 +106,20 @@ impl FineGrainedCrh {
     /// the exact sequential path; results are bit-identical for every
     /// value.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+        self.cfg.threads = n;
         self
     }
 
     /// Toggle the columnar fast-path kernels (default on); results are
     /// bit-identical either way.
     pub fn columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
+        self.cfg.columnar = on;
         self
     }
 
-    /// Run the grouped block coordinate descent. The loop is fused like
-    /// [`Crh::run`](crate::solver::Crh::run): one entry-sharded fit +
-    /// deviation sweep per iteration, with the post-fit deviations carried
-    /// forward as the next iteration's per-group Step-I input.
+    /// Run the grouped block coordinate descent: the loop of
+    /// [`Crh::run`](crate::solver::Crh::run) with one Step-I weight vector
+    /// per property group, each learned from its group's deviation rows.
     pub fn run(&self, table: &ObservationTable) -> Result<FineGrainedResult> {
         for g in &self.groups {
             for &p in g {
@@ -130,102 +128,18 @@ impl FineGrainedCrh {
                 }
             }
         }
-        let prepared = PreparedProblem::new_with_layout(table, &HashMap::new(), self.columnar)?;
-        let k = table.num_sources();
+        let prepared = PreparedProblem::new_with_layout(table, &HashMap::new(), self.cfg.columnar)?;
         let group_of = self.group_of_property(table.num_properties())?;
-
-        // Per-group observation counts for count normalization.
-        let mut group_counts: Vec<Vec<usize>> = vec![vec![0usize; k]; self.groups.len()];
-        for (_, entry, obs) in table.iter_entries() {
-            let g = group_of[entry.property.index()];
-            for (s, _) in obs {
-                group_counts[g][s.index()] += 1;
-            }
+        Ok(Descent {
+            cfg: &self.cfg,
+            prepared: &prepared,
+            model: WeightModel::ByProperty {
+                groups: &self.groups,
+                group_of: &group_of,
+            },
+            anchors: None,
         }
-
-        let pool = Pool::new(self.threads);
-        let mut scratch = SolverScratch::for_table(table);
-        let mut truths = TruthTable::new(Vec::new());
-        let uniform = vec![1.0f64; k];
-        let mut weights: Vec<Vec<f64>> = vec![uniform.clone(); self.groups.len()];
-
-        // Initialize with the uniform grouped fit; the fused pass also
-        // prices the initial truths for the first Step I.
-        fn spec<'a>(w: &'a [Vec<f64>], g: &'a [usize]) -> KernelSpec<'a> {
-            KernelSpec {
-                weights: KernelWeights::ByProperty {
-                    per_group: w,
-                    group_of: g,
-                },
-                anchors: None,
-                dev_block_of: None,
-                num_dev_blocks: 1,
-            }
-        }
-        fused_fit_dev(
-            &prepared,
-            &spec(&weights, &group_of),
-            &pool,
-            &mut truths,
-            &mut scratch,
-        );
-
-        let mut trace = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-        for it in 0..self.max_iters {
-            iterations = it + 1;
-            // Step I per group from the carried deviations.
-            for (g, group) in self.groups.iter().enumerate() {
-                let losses = source_losses_rows(
-                    group.iter().map(|p| scratch.dev().row(p.index())),
-                    &group_counts[g],
-                    self.property_norm,
-                    self.count_normalize,
-                );
-                weights[g] = self.assigner.assign(&losses);
-            }
-            // Step II with the property's group weights, fused with the
-            // deviation pass for the convergence check.
-            fused_fit_dev(
-                &prepared,
-                &spec(&weights, &group_of),
-                &pool,
-                &mut truths,
-                &mut scratch,
-            );
-
-            // Convergence: summed per-group objective.
-            let mut f = 0.0;
-            for (g, group) in self.groups.iter().enumerate() {
-                let losses = source_losses_rows(
-                    group.iter().map(|p| scratch.dev().row(p.index())),
-                    &group_counts[g],
-                    self.property_norm,
-                    self.count_normalize,
-                );
-                f += objective(&weights[g], &losses);
-            }
-            if let Some(&prev) = trace.last() {
-                let prev: f64 = prev;
-                let rel = (prev - f).abs() / prev.abs().max(1.0);
-                trace.push(f);
-                if rel <= self.tol {
-                    converged = true;
-                    break;
-                }
-            } else {
-                trace.push(f);
-            }
-        }
-
-        Ok(FineGrainedResult {
-            truths,
-            weights,
-            objective_trace: trace,
-            iterations,
-            converged,
-        })
+        .solve())
     }
 
     /// property index -> group index, validating full coverage.
@@ -245,15 +159,6 @@ impl FineGrainedCrh {
     }
 }
 
-impl std::fmt::Debug for FineGrainedCrh {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FineGrainedCrh")
-            .field("groups", &self.groups)
-            .field("assigner", &self.assigner.name())
-            .finish()
-    }
-}
-
 /// CRH with per-object-group source weights (§2.5's other fine-grained
 /// axis: "a local reliability degree of the source on a subset of … objects").
 ///
@@ -263,20 +168,14 @@ impl std::fmt::Debug for FineGrainedCrh {
 pub struct ObjectGroupedCrh {
     group_of: Box<dyn Fn(ObjectId) -> usize + Send + Sync>,
     num_groups: usize,
-    assigner: Box<dyn WeightAssigner>,
-    max_iters: usize,
-    tol: f64,
-    property_norm: PropertyNorm,
-    count_normalize: bool,
-    threads: usize,
-    columnar: bool,
+    cfg: Config,
 }
 
 impl std::fmt::Debug for ObjectGroupedCrh {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObjectGroupedCrh")
             .field("num_groups", &self.num_groups)
-            .field("assigner", &self.assigner.name())
+            .field("cfg", &self.cfg)
             .finish()
     }
 }
@@ -296,25 +195,19 @@ impl ObjectGroupedCrh {
         Ok(Self {
             group_of: Box::new(group_of),
             num_groups,
-            assigner: Box::new(LogMax),
-            max_iters: 100,
-            tol: 1e-6,
-            property_norm: PropertyNorm::SumToOne,
-            count_normalize: true,
-            threads: 0,
-            columnar: true,
+            cfg: Config::default(),
         })
     }
 
     /// Replace the weight assigner.
     pub fn weight_assigner(mut self, a: impl WeightAssigner + 'static) -> Self {
-        self.assigner = Box::new(a);
+        self.cfg.assigner = Box::new(a);
         self
     }
 
     /// Cap the number of iterations.
     pub fn max_iters(mut self, n: usize) -> Self {
-        self.max_iters = n;
+        self.cfg.max_iters = n;
         self
     }
 
@@ -322,115 +215,44 @@ impl ObjectGroupedCrh {
     /// the exact sequential path; results are bit-identical for every
     /// value.
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+        self.cfg.threads = n;
         self
     }
 
     /// Toggle the columnar fast-path kernels (default on); results are
     /// bit-identical either way.
     pub fn columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
+        self.cfg.columnar = on;
         self
     }
 
-    /// Run the object-grouped block coordinate descent.
+    /// Run the object-grouped block coordinate descent: the loop of
+    /// [`Crh::run`](crate::solver::Crh::run) with one Step-I weight vector
+    /// per object group, each learned only from its group's entries.
     pub fn run(&self, table: &ObservationTable) -> Result<FineGrainedResult> {
-        let prepared = PreparedProblem::new_with_layout(table, &HashMap::new(), self.columnar)?;
-        let k = table.num_sources();
-        let g_count = self.num_groups;
-
+        let prepared = PreparedProblem::new_with_layout(table, &HashMap::new(), self.cfg.columnar)?;
         // classify entries once; validate the classifier's range
         let mut entry_group = Vec::with_capacity(table.num_entries());
         for (_, entry, _) in table.iter_entries() {
             let g = (self.group_of)(entry.object);
-            if g >= g_count {
+            if g >= self.num_groups {
                 return Err(CrhError::InvalidParameter(format!(
-                    "object {} classified into group {g}, but only {g_count} groups exist",
-                    entry.object
+                    "object {} classified into group {g}, but only {} groups exist",
+                    entry.object, self.num_groups
                 )));
             }
             entry_group.push(g);
         }
-
-        // per-group per-source observation counts
-        let mut counts = vec![vec![0usize; k]; g_count];
-        for (e, _, obs) in table.iter_entries() {
-            let g = entry_group[e.index()];
-            for (s, _) in obs {
-                counts[g][s.index()] += 1;
-            }
-        }
-
-        let m = table.num_properties();
-        let pool = Pool::new(self.threads);
-        let mut scratch = SolverScratch::new(table.num_entries(), g_count * m, k);
-        let mut truths = TruthTable::new(Vec::new());
-        let mut weights = vec![vec![1.0f64; k]; g_count];
-        fit_kernel(
-            &prepared,
-            &KernelWeights::ByEntry {
-                per_group: &weights,
+        Ok(Descent {
+            cfg: &self.cfg,
+            prepared: &prepared,
+            model: WeightModel::ByObject {
                 entry_group: &entry_group,
+                num_groups: self.num_groups,
             },
-            &pool,
-            &mut truths,
-        );
-
-        let mut trace: Vec<f64> = Vec::new();
-        let mut converged = false;
-        let mut iterations = 0;
-        for it in 0..self.max_iters {
-            iterations = it + 1;
-            // Per-group deviation blocks in one entry-sharded pass: group
-            // `g` owns rows `g*m .. (g+1)*m` of the scratch matrix.
-            dev_kernel(
-                &prepared,
-                &truths,
-                Some((&entry_group, g_count)),
-                &pool,
-                &mut scratch,
-            );
-            let mut f = 0.0;
-            for g in 0..g_count {
-                let losses = source_losses_rows(
-                    (g * m..(g + 1) * m).map(|r| scratch.dev().row(r)),
-                    &counts[g],
-                    self.property_norm,
-                    self.count_normalize,
-                );
-                weights[g] = self.assigner.assign(&losses);
-                f += objective(&weights[g], &losses);
-            }
-            fit_kernel(
-                &prepared,
-                &KernelWeights::ByEntry {
-                    per_group: &weights,
-                    entry_group: &entry_group,
-                },
-                &pool,
-                &mut truths,
-            );
-
-            if let Some(&prev) = trace.last() {
-                let prev: f64 = prev;
-                let rel = (prev - f).abs() / prev.abs().max(1.0);
-                trace.push(f);
-                if rel <= self.tol {
-                    converged = true;
-                    break;
-                }
-            } else {
-                trace.push(f);
-            }
+            anchors: None,
         }
-
-        Ok(FineGrainedResult {
-            truths,
-            weights,
-            objective_trace: trace,
-            iterations,
-            converged,
-        })
+        .solve())
     }
 }
 

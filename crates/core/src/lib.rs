@@ -77,6 +77,7 @@
 pub mod cancel;
 pub mod columnar;
 pub mod confidence;
+mod descent;
 pub mod error;
 pub mod finegrained;
 pub mod ids;
@@ -105,9 +106,7 @@ pub mod prelude {
     };
     pub use crate::par::Pool;
     pub use crate::schema::Schema;
-    pub use crate::solver::{
-        Crh, CrhBuilder, CrhResult, DevMatrix, InitStrategy, PropertyNorm, SolverScratch,
-    };
+    pub use crate::solver::{Crh, CrhBuilder, CrhResult, DevMatrix, PropertyNorm, SolverScratch};
     pub use crate::table::{Claim, Entry, ObservationTable, TableBuilder, TruthTable};
     pub use crate::value::{PropertyType, Truth, Value};
     pub use crate::weights::{

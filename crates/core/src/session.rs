@@ -5,28 +5,34 @@
 //! callers can interleave their own logic — inspect weights between
 //! iterations, stop on custom criteria, anneal the weight scheme, or warm
 //! start from weights learned elsewhere (e.g. an I-CRH stream).
+//! [`run_to_convergence`](CrhSession::run_to_convergence) hands the
+//! session's state to the same loop `Crh::run` uses, starting with a fit
+//! under the session's current weights: from a fresh session it reproduces
+//! `Crh::run` bit for bit, and from [`set_weights`](CrhSession::set_weights)
+//! it is a genuine warm start.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cancel::CancelToken;
+use crate::descent::{Config, Descent, WeightModel};
 use crate::error::{CrhError, Result};
 use crate::ids::PropertyId;
 use crate::loss::Loss;
 use crate::par::Pool;
 use crate::solver::{
-    deviation_matrix, deviation_matrix_into, fit_all_into, fit_and_deviations_into, objective,
-    source_losses, source_losses_mat, PreparedProblem, PropertyNorm, SolverScratch,
+    deviation_matrix, deviation_matrix_into, fit_all_into, objective, source_losses,
+    source_losses_mat, PreparedProblem, SolverScratch,
 };
 use crate::table::{ObservationTable, TruthTable};
-use crate::weights::{LogMax, WeightAssigner};
+use crate::weights::WeightAssigner;
 
 /// A stateful CRH solving session over one table.
 pub struct CrhSession<'t> {
     prepared: PreparedProblem<'t>,
-    assigner: Box<dyn WeightAssigner>,
-    property_norm: PropertyNorm,
-    count_normalize: bool,
+    /// Assigner and normalization; `tol` and `max_iters` are set by each
+    /// [`run_to_convergence_with`](Self::run_to_convergence_with) call.
+    cfg: Config,
     weights: Vec<f64>,
     truths: TruthTable,
     iterations: usize,
@@ -63,9 +69,7 @@ impl<'t> CrhSession<'t> {
         let scratch = SolverScratch::for_table(table);
         Ok(Self {
             prepared,
-            assigner: Box::new(LogMax),
-            property_norm: PropertyNorm::SumToOne,
-            count_normalize: true,
+            cfg: Config::default(),
             weights,
             truths,
             iterations: 0,
@@ -83,7 +87,7 @@ impl<'t> CrhSession<'t> {
 
     /// Replace the weight assigner (may be called between steps).
     pub fn set_weight_assigner(&mut self, a: impl WeightAssigner + 'static) {
-        self.assigner = Box::new(a);
+        self.cfg.assigner = Box::new(a);
     }
 
     /// Warm-start the weights (e.g. from a previous run or an I-CRH stream).
@@ -104,10 +108,10 @@ impl<'t> CrhSession<'t> {
         let losses = source_losses_mat(
             self.scratch.dev(),
             self.prepared.table.source_counts(),
-            self.property_norm,
-            self.count_normalize,
+            self.cfg.property_norm,
+            self.cfg.count_normalize,
         );
-        self.weights = self.assigner.assign(&losses);
+        self.weights = self.cfg.assigner.assign(&losses);
         losses
     }
 
@@ -138,17 +142,16 @@ impl<'t> CrhSession<'t> {
     }
 
     /// [`run_to_convergence`](Self::run_to_convergence) with cooperative
-    /// cancellation: the token is polled before every iteration, and a
-    /// tripped token (explicit cancel or expired deadline) stops the solve
-    /// with [`CrhError::Cancelled`], leaving the session's partial state
-    /// intact and reusable.
+    /// cancellation: the token is polled before the first fit and before
+    /// every iteration, and a tripped token (explicit cancel or expired
+    /// deadline) stops the solve with [`CrhError::Cancelled`], leaving the
+    /// session's partial state intact and reusable.
     ///
-    /// The loop is fused the same way as [`Crh::run`](crate::solver::Crh::run):
-    /// each iteration performs one fit + deviation sweep, and the losses
-    /// that price the convergence check feed the next iteration's weight
-    /// update. Results are identical to driving [`step`](Self::step) in a
-    /// loop (pinned by test); only the redundant second deviation pass per
-    /// iteration is gone.
+    /// This runs the loop of [`Crh::run`](crate::solver::Crh::run), with
+    /// its convergence rule, from the session's state: the first sweep fits
+    /// the truths under the current weights, so weights given to
+    /// [`set_weights`](Self::set_weights) steer the solve. On a fresh
+    /// session the result equals `Crh::run` bit for bit (pinned by test).
     pub fn run_to_convergence_with(
         &mut self,
         tol: f64,
@@ -160,45 +163,29 @@ impl<'t> CrhSession<'t> {
                 "convergence tolerance must be >= 0, got {tol}"
             )));
         }
-        // Price the current truths once — the initial objective and the
-        // first iteration's Step-I input.
-        deviation_matrix_into(&self.prepared, &self.truths, &self.pool, &mut self.scratch);
-        let mut losses = source_losses_mat(
-            self.scratch.dev(),
-            self.prepared.table.source_counts(),
-            self.property_norm,
-            self.count_normalize,
-        );
-        let mut f = objective(&self.weights, &losses);
-        let mut prev = f64::INFINITY;
-        for _ in 0..max_iters {
-            if cancel.is_cancelled() {
-                return Err(CrhError::Cancelled);
-            }
-            // Step I from the carried deviations.
-            self.weights = self.assigner.assign(&losses);
-            // Step II fused with the deviation pass for the next check.
-            fit_and_deviations_into(
-                &self.prepared,
-                &self.weights,
-                &self.pool,
-                &mut self.truths,
-                &mut self.scratch,
-            );
-            self.iterations += 1;
-            losses = source_losses_mat(
-                self.scratch.dev(),
-                self.prepared.table.source_counts(),
-                self.property_norm,
-                self.count_normalize,
-            );
-            f = objective(&self.weights, &losses);
-            if (prev - f).abs() <= tol * prev.abs().max(1.0) {
-                break;
-            }
-            prev = f;
+        self.cfg.tol = tol;
+        self.cfg.max_iters = max_iters;
+        let out = Descent {
+            cfg: &self.cfg,
+            prepared: &self.prepared,
+            model: WeightModel::Global,
+            anchors: None,
         }
-        Ok(f)
+        .run(
+            &self.pool,
+            std::slice::from_mut(&mut self.weights),
+            &mut self.truths,
+            &mut self.scratch,
+            cancel,
+        );
+        self.iterations += out.iterations;
+        if out.cancelled {
+            return Err(CrhError::Cancelled);
+        }
+        Ok(match out.trace.last() {
+            Some(&f) => f,
+            None => self.objective(),
+        })
     }
 
     /// The current objective `Σ_k w_k L_k` under the session's
@@ -208,8 +195,8 @@ impl<'t> CrhSession<'t> {
         let losses = source_losses(
             &dev,
             self.prepared.table.source_counts(),
-            self.property_norm,
-            self.count_normalize,
+            self.cfg.property_norm,
+            self.cfg.count_normalize,
         );
         objective(&self.weights, &losses)
     }
@@ -265,43 +252,112 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// A seeded 300-object, 6-source mixed table on which `Crh::run`
+    /// needs several iterations.
+    fn noisy_table() -> ObservationTable {
+        use crate::rng::{Pcg64, Rng};
+        let mut rng = Pcg64::seed_from_u64(7);
+        let mut schema = Schema::new();
+        let t = schema.add_continuous("t");
+        let c = schema.add_categorical("c");
+        let mut b = TableBuilder::new(schema);
+        let labels = ["a", "b", "c"];
+        for i in 0..300u32 {
+            for s in 0..6u32 {
+                let noise = (rng.next_u64() % 1000) as f64 / 100.0;
+                if rng.next_u64() % 10 < 8 {
+                    b.add(
+                        ObjectId(i),
+                        t,
+                        SourceId(s),
+                        Value::Num((i % 50) as f64 + noise),
+                    )
+                    .unwrap();
+                }
+                if rng.next_u64() % 10 < 8 {
+                    let l = labels[(rng.next_u64() % 3) as usize];
+                    b.add_label(ObjectId(i), c, SourceId(s), l).unwrap();
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The session's weights and truths equal `batch`'s to the bit.
+    fn assert_same_solution(session: &CrhSession<'_>, batch: &crate::solver::CrhResult) {
+        assert_eq!(bits(session.weights()), bits(&batch.weights));
+        for (e, t) in batch.truths.iter() {
+            assert_eq!(t, session.truths().get(e), "truth diverged at {e:?}");
+        }
+    }
+
     #[test]
     fn stepping_matches_batch_solver() {
-        let tab = table();
-        let mut session = CrhSession::new(&tab).unwrap();
-        session.run_to_convergence(1e-6, 100).unwrap();
+        let tab = noisy_table();
         let batch = CrhBuilder::new().build().unwrap().run(&tab).unwrap();
-        for (a, b) in session.weights().iter().zip(&batch.weights) {
-            assert!(
-                (a - b).abs() < 1e-9,
-                "{:?} vs {:?}",
-                session.weights(),
-                batch.weights
-            );
-        }
-        for (e, t) in batch.truths.iter() {
-            assert!(t.point().matches(&session.truths().get(e).point()));
-        }
+        assert!(
+            batch.iterations > 1,
+            "the table must need several iterations"
+        );
+        let mut session = CrhSession::new(&tab).unwrap();
+        let f = session.run_to_convergence(1e-6, 100).unwrap();
+        assert_eq!(session.iterations(), batch.iterations);
+        assert_same_solution(&session, &batch);
+        assert_eq!(Some(&f), batch.objective_trace.last());
+    }
+
+    #[test]
+    fn uniform_warm_start_reproduces_batch_solver() {
+        let tab = noisy_table();
+        let batch = CrhBuilder::new().build().unwrap().run(&tab).unwrap();
+        let mut session = CrhSession::new(&tab).unwrap();
+        // perturb the state, then reseed uniformly: only the weights count
+        session.set_weights(vec![5.0, 0.1, 0.1, 0.1, 0.1, 0.1]);
+        session.step_truths();
+        session.set_weights(vec![1.0; 6]);
+        session.run_to_convergence(1e-6, 100).unwrap();
+        assert_eq!(session.iterations(), 1 + batch.iterations);
+        assert_same_solution(&session, &batch);
+    }
+
+    #[test]
+    fn skewed_warm_start_changes_the_outcome() {
+        // seeding the liar as the only trusted source makes the first fit
+        // follow it, and coordinate descent settles on its claims
+        let tab = table();
+        let uniform = CrhBuilder::new().build().unwrap().run(&tab).unwrap();
+        let mut session = CrhSession::new(&tab).unwrap();
+        session.set_weights(vec![0.1, 0.1, 10.0]);
+        session.run_to_convergence(1e-6, 100).unwrap();
+        assert_ne!(bits(session.weights()), bits(&uniform.weights));
+        let e = tab.entry_id(ObjectId(0), PropertyId(0)).unwrap();
+        assert_eq!(session.truths().get(e).as_num(), Some(19.0));
+        assert_ne!(uniform.truths.get(e), session.truths().get(e));
     }
 
     #[test]
     fn fused_convergence_loop_matches_manual_stepping() {
         // run_to_convergence's fused loop must be indistinguishable from
-        // driving step() by hand with the same stopping rule.
-        let tab = table();
+        // driving step() by hand with `Crh::run`'s stopping rule.
+        let tab = noisy_table();
         let mut fused = CrhSession::new(&tab).unwrap();
         let f_fused = fused.run_to_convergence(1e-8, 50).unwrap();
 
         let mut manual = CrhSession::new(&tab).unwrap();
-        let mut prev = f64::INFINITY;
+        let mut prev: Option<f64> = None;
         let mut f_manual = manual.objective();
         for _ in 0..50 {
             f_manual = manual.step();
-            if (prev - f_manual).abs() <= 1e-8 * prev.abs().max(1.0) {
+            if prev.is_some_and(|p| (p - f_manual).abs() / p.abs().max(1.0) <= 1e-8) {
                 break;
             }
-            prev = f_manual;
+            prev = Some(f_manual);
         }
+        assert!(manual.iterations() > 1);
 
         assert_eq!(fused.iterations(), manual.iterations());
         assert_eq!(f_fused.to_bits(), f_manual.to_bits());
@@ -393,10 +449,11 @@ mod tests {
         }
         // the session stays usable after a rejected call
         assert!(session.run_to_convergence(1e-6, 10).is_ok());
-        // +inf tolerance is degenerate but well-defined: stop after one step
+        // +inf tolerance is degenerate but well-defined: stop at the first
+        // convergence check, which is the second iteration
         let mut fresh = CrhSession::new(&tab).unwrap();
         assert!(fresh.run_to_convergence(f64::INFINITY, 10).is_ok());
-        assert_eq!(fresh.iterations(), 1);
+        assert_eq!(fresh.iterations(), 2);
     }
 
     #[test]
