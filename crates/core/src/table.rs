@@ -6,15 +6,14 @@
 //! Both solver steps iterate entry-by-entry, so this is the cache-friendly
 //! orientation; missing observations (§2.5) simply do not appear.
 
-use std::collections::HashMap;
-
 use crate::error::{CrhError, Result};
 use crate::ids::{EntryId, ObjectId, PropertyId, SourceId};
 use crate::schema::Schema;
 use crate::value::{Truth, Value};
 
-/// An entry: one cell of the truth table (Definition 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// An entry: one cell of the truth table (Definition 1). Entries order by
+/// object, then property.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Entry {
     /// The object `i`.
     pub object: ObjectId,
@@ -119,80 +118,50 @@ pub struct ObservationTable {
     /// CSR offsets: observations of entry `e` live at `obs[offsets[e]..offsets[e+1]]`.
     offsets: Vec<usize>,
     obs: Vec<(SourceId, Value)>,
-    entry_index: HashMap<Entry, EntryId>,
-    num_sources: usize,
-    num_objects: usize,
-    /// Observation count per source (for the §2.5 count normalization).
+    /// Observation count per source (for the §2.5 count normalization),
+    /// indexed up to the largest source id seen.
     source_counts: Vec<usize>,
 }
 
 impl ObservationTable {
     /// Build from raw claims. Claims are grouped by entry; within an entry,
-    /// a later claim from the same source replaces an earlier one.
-    pub fn from_claims(schema: Schema, mut claims: Vec<Claim>) -> Result<Self> {
+    /// a later claim from the same source replaces an earlier one
+    /// (keep-last), and the surviving observations are ordered by source.
+    ///
+    /// The build is linear in the claim count `n` and moves every value
+    /// rather than cloning it. One pass rejects a property id the schema
+    /// does not declare ([`CrhError::UnknownProperty`]) and finds the
+    /// largest object id. The claims are then counting-sorted by the dense
+    /// entry key `object · P + property` (`P` = the schema's property
+    /// count): they land in their entry's bucket of the observation array
+    /// in arrival order. Each bucket is then stable-sorted by source and
+    /// only the last claim of each source run is kept, compacting the
+    /// array in place. Empty buckets are skipped, so entries come out in
+    /// ascending (object, property) order.
+    ///
+    /// When the key span `(largest object + 1) · P` exceeds `n` (sparse or
+    /// adversarial ids), the claims are instead stable-sorted by entry and
+    /// fed to the same per-entry keep-last step. Beyond the claims and the
+    /// observation array, the bucketing holds at most one `u32` per claim;
+    /// the fallback holds the stable sort's scratch buffer instead.
+    ///
+    /// Value types are not checked against the schema here (that is
+    /// [`TableBuilder::add`]'s job), so a type-confused or non-finite value
+    /// is stored as given.
+    pub fn from_claims(schema: Schema, claims: Vec<Claim>) -> Result<Self> {
         if claims.is_empty() {
             return Err(CrhError::EmptyTable);
         }
-        // Group by (object, property); stable sort keeps claim order within
-        // an entry so keep-last dedup below is well-defined.
-        claims.sort_by_key(|c| (c.object, c.property));
-
-        let mut entries = Vec::new();
-        let mut offsets = vec![0usize];
-        let mut obs: Vec<(SourceId, Value)> = Vec::with_capacity(claims.len());
-        let mut entry_index = HashMap::new();
-        let mut num_sources = 0usize;
-        let mut num_objects = 0usize;
-
-        let mut i = 0;
-        while i < claims.len() {
-            let key = Entry {
-                object: claims[i].object,
-                property: claims[i].property,
-            };
-            let start = i;
-            while i < claims.len()
-                && claims[i].object == key.object
-                && claims[i].property == key.property
-            {
-                i += 1;
-            }
-            let group = &claims[start..i];
-            let obs_start = obs.len();
-            // keep-last per source within the group
-            for (gi, c) in group.iter().enumerate() {
-                let superseded = group[gi + 1..].iter().any(|d| d.source == c.source);
-                if !superseded {
-                    obs.push((c.source, c.value.clone()));
-                }
-            }
-            // deterministic source order within the entry
-            obs[obs_start..].sort_by_key(|(s, _)| *s);
-
-            let eid = EntryId::from_index(entries.len());
-            entry_index.insert(key, eid);
-            entries.push(key);
-            offsets.push(obs.len());
-
-            num_objects = num_objects.max(key.object.index() + 1);
-            for (s, _) in &obs[obs_start..] {
-                num_sources = num_sources.max(s.index() + 1);
-            }
-        }
-
-        let mut source_counts = vec![0usize; num_sources];
-        for (s, _) in &obs {
-            source_counts[s.index()] += 1;
-        }
-
+        let (entries, mut offsets, mut obs) = match dense_key_span(&schema, &claims)? {
+            Some(span) => bucket_by_key(claims, schema.num_properties(), span),
+            None => sort_by_entry(claims),
+        };
+        let source_counts = keep_last_per_source(&mut obs, &mut offsets);
         Ok(Self {
             schema,
             entries,
             offsets,
             obs,
-            entry_index,
-            num_sources,
-            num_objects,
             source_counts,
         })
     }
@@ -209,12 +178,13 @@ impl ObservationTable {
 
     /// Number of sources `K` (1 + the largest source id seen).
     pub fn num_sources(&self) -> usize {
-        self.num_sources
+        self.source_counts.len()
     }
 
     /// Number of objects `N` (1 + the largest object id seen).
     pub fn num_objects(&self) -> usize {
-        self.num_objects
+        // entries are sorted by object
+        self.entries.last().map_or(0, |e| e.object.index() + 1)
     }
 
     /// Number of properties `M` declared in the schema.
@@ -239,7 +209,10 @@ impl ObservationTable {
 
     /// Look up an entry id by (object, property).
     pub fn entry_id(&self, object: ObjectId, property: PropertyId) -> Option<EntryId> {
-        self.entry_index.get(&Entry { object, property }).copied()
+        self.entries
+            .binary_search(&Entry { object, property })
+            .ok()
+            .map(EntryId::from_index)
     }
 
     /// The `(source, value)` observations of entry `e`, sorted by source id.
@@ -267,6 +240,123 @@ impl ObservationTable {
         self.iter_entries()
             .flat_map(|(e, _, group)| group.iter().map(move |(s, v)| (e, *s, v)))
     }
+}
+
+/// Check every claim's property id against `schema` and choose how
+/// [`ObservationTable::from_claims`] groups the claims: `Some(span)`, the
+/// dense entry-key span `(largest object + 1) · P`, when it is at most the
+/// claim count (counting sort), or `None` for the stable-sort fallback.
+#[doc(hidden)]
+pub fn dense_key_span(schema: &Schema, claims: &[Claim]) -> Result<Option<usize>> {
+    let p = schema.num_properties();
+    let mut max_object = 0;
+    for c in claims {
+        if c.property.index() >= p {
+            return Err(CrhError::UnknownProperty(c.property));
+        }
+        max_object = max_object.max(c.object.index());
+    }
+    let span = (max_object + 1).checked_mul(p);
+    // bucket ends are u32 offsets into the observation array
+    Ok(span.filter(|&s| s <= claims.len() && u32::try_from(claims.len()).is_ok()))
+}
+
+/// Claims grouped by entry: `(entries, offsets, obs)`, entries in ascending
+/// (object, property) order, entry `i`'s observations at
+/// `obs[offsets[i]..offsets[i + 1]]` in arrival order, duplicates included.
+type Grouped = (Vec<Entry>, Vec<usize>, Vec<(SourceId, Value)>);
+
+/// Counting sort by the dense key `object · p + property < span`.
+fn bucket_by_key(claims: Vec<Claim>, p: usize, span: usize) -> Grouped {
+    let key = |c: &Claim| c.object.index() * p + c.property.index();
+    // ends[k] holds bucket k's size, then its start, then (after the
+    // scatter) its end
+    let mut ends = vec![0u32; span];
+    for c in &claims {
+        ends[key(c)] += 1;
+    }
+    let mut start = 0;
+    for e in &mut ends {
+        let size = *e;
+        *e = start;
+        start += size;
+    }
+    let mut obs = vec![(SourceId(0), Value::Num(0.0)); claims.len()];
+    for c in claims {
+        let slot = &mut ends[key(&c)];
+        obs[*slot as usize] = (c.source, c.value);
+        *slot += 1;
+    }
+
+    let mut entries = Vec::new();
+    let mut offsets = vec![0];
+    let mut start = 0;
+    for (object, row) in ends.chunks_exact(p).enumerate() {
+        for (property, &end) in row.iter().enumerate() {
+            if end > start {
+                entries.push(Entry {
+                    object: ObjectId::from_index(object),
+                    property: PropertyId::from_index(property),
+                });
+                offsets.push(end as usize);
+                start = end;
+            }
+        }
+    }
+    (entries, offsets, obs)
+}
+
+/// Fallback grouping for sparse keys: a stable sort by entry.
+fn sort_by_entry(mut claims: Vec<Claim>) -> Grouped {
+    claims.sort_by_key(|c| (c.object, c.property));
+    let mut entries: Vec<Entry> = Vec::new();
+    let mut offsets = Vec::new();
+    let mut obs = Vec::with_capacity(claims.len());
+    for c in claims {
+        let entry = Entry {
+            object: c.object,
+            property: c.property,
+        };
+        if entries.last() != Some(&entry) {
+            entries.push(entry);
+            offsets.push(obs.len());
+        }
+        obs.push((c.source, c.value));
+    }
+    offsets.push(obs.len());
+    (entries, offsets, obs)
+}
+
+/// Within each entry's observations (arrival order), keep the last one of
+/// each source, ordered by source; compacts `obs` and rewrites `offsets`
+/// in place. Returns the number of observations kept per source.
+fn keep_last_per_source(obs: &mut Vec<(SourceId, Value)>, offsets: &mut [usize]) -> Vec<usize> {
+    let mut source_counts = Vec::new();
+    let mut kept = 0;
+    let mut start = 0;
+    for offset in &mut offsets[1..] {
+        let end = *offset;
+        // stable: one source's claims stay in arrival order, last is latest
+        obs[start..end].sort_by_key(|(s, _)| *s);
+        for r in start..end {
+            if r + 1 < end && obs[r + 1].0 == obs[r].0 {
+                continue;
+            }
+            let s = obs[r].0.index();
+            if s >= source_counts.len() {
+                source_counts.resize(s + 1, 0);
+            }
+            source_counts[s] += 1;
+            if kept != r {
+                obs.swap(kept, r);
+            }
+            kept += 1;
+        }
+        *offset = kept;
+        start = end;
+    }
+    obs.truncate(kept);
+    source_counts
 }
 
 /// The output truth table `X^(*)`: one [`Truth`] per entry of the
@@ -420,6 +510,20 @@ mod tests {
         let mut b = TableBuilder::new(weather_schema());
         let err = b.add(ObjectId(0), PropertyId(0), SourceId(0), Value::Cat(0));
         assert!(matches!(err, Err(CrhError::TypeMismatch { .. })));
+    }
+
+    #[test]
+    fn out_of_schema_property_rejected_at_build() {
+        let mut schema = Schema::new();
+        schema.add_continuous("x");
+        let claim = |property| Claim {
+            object: ObjectId(0),
+            property: PropertyId(property),
+            source: SourceId(0),
+            value: Value::Num(1.0),
+        };
+        let err = ObservationTable::from_claims(schema, vec![claim(0), claim(3)]);
+        assert!(matches!(err, Err(CrhError::UnknownProperty(PropertyId(3)))));
     }
 
     #[test]
