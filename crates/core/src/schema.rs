@@ -3,8 +3,16 @@
 //! A [`Schema`] lists the `M` properties of the truth table (Definition 1),
 //! each with a [`PropertyType`], and owns a string interner per categorical
 //! property so observations can be stored as dense `u32` ids.
+//!
+//! The lookup maps are `BTreeMap`s, not `HashMap`s. Callers clone a
+//! schema for each table build, and a randomly seeded map would clone
+//! and drop its label strings in an order that changes from process to
+//! process. That order shapes the allocator's heap, and so whether the
+//! solver's transient buffers go back to the OS after a solve, which
+//! moves peak memory and solve time between runs of one binary. Ordered
+//! maps clone and drop in key order, the same in every run.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::error::{CrhError, Result};
 use crate::ids::PropertyId;
@@ -14,7 +22,7 @@ use crate::value::{PropertyType, Value};
 #[derive(Debug, Clone, Default)]
 pub struct Domain {
     labels: Vec<String>,
-    index: HashMap<String, u32>,
+    index: BTreeMap<String, u32>,
 }
 
 impl Domain {
@@ -73,7 +81,7 @@ pub struct PropertyDef {
 pub struct Schema {
     props: Vec<PropertyDef>,
     domains: Vec<Domain>, // parallel to props; empty Domain for non-categorical
-    name_index: HashMap<String, PropertyId>,
+    name_index: BTreeMap<String, PropertyId>,
 }
 
 impl Schema {
