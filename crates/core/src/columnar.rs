@@ -7,9 +7,11 @@
 //! can sweep flat:
 //!
 //! * **continuous** properties become one contiguous `f64` matrix
-//!   (`rows × K`, `K` = sources) with a validity bitmap;
+//!   (`rows × K`, `K` = sources) with a validity bitmap, and `NaN` in
+//!   empty slots;
 //! * **categorical** properties become a dense `u32` code matrix (codes are
-//!   the schema's interned domain ids) with the same bitmap;
+//!   the schema's interned domain ids) with the same bitmap, and
+//!   [`MISSING_CODE`] in empty slots;
 //! * **text** properties are interned through a per-property
 //!   [`Dictionary`] — distinct strings sorted lexicographically, code =
 //!   rank — into the same dense code layout.
@@ -39,7 +41,7 @@ use std::sync::Arc;
 
 use crate::error::{CrhError, Result};
 use crate::ids::EntryId;
-use crate::kernels::KernelClass;
+use crate::kernels::{for_each_valid, KernelClass};
 use crate::loss::Loss;
 use crate::table::ObservationTable;
 use crate::value::{PropertyType, Value};
@@ -156,9 +158,14 @@ impl Bitmap {
 pub struct NumColumn {
     /// Property-local row → entry index, ascending.
     rows: Vec<u32>,
-    /// `rows.len() × K` dense values; `0.0` in invalid slots.
+    /// `rows.len() × K` dense values; `NaN` in empty slots. Real claims are
+    /// finite (the build rejects the rest), so `NaN` marks an empty slot
+    /// in-band and the deviation sweeps select on it without the bitmap.
     values: Vec<f64>,
+    /// Set bits mark the claimed slots; the fits walk them in order.
     valid: Bitmap,
+    /// Number of claims in the column (set bits in `valid`).
+    observations: usize,
 }
 
 /// A dense `u32` code column for one categorical or text property.
@@ -166,8 +173,10 @@ pub struct NumColumn {
 pub struct CodedColumn {
     /// Property-local row → entry index, ascending.
     rows: Vec<u32>,
-    /// `rows.len() × K` dense codes; [`MISSING_CODE`] in invalid slots.
+    /// `rows.len() × K` dense codes; [`MISSING_CODE`] in empty slots, the
+    /// in-band marker the deviation sweeps select on.
     codes: Vec<u32>,
+    /// Set bits mark the claimed slots; the fits walk them in order.
     valid: Bitmap,
     /// `1 + max live code` — the tally size the vote kernel needs.
     domain: usize,
@@ -259,14 +268,16 @@ impl ColumnarTable {
         let n = table.num_entries();
         checked_code(n, "columnar entry rows")?;
 
-        // Pass 1: per-property row counts and uniform-type detection.
+        // Pass 1: per-property row and claim counts, uniform-type detection.
         let ptypes: Vec<PropertyType> = table.schema().properties().map(|(_, d)| d.ptype).collect();
         let mut counts = vec![0usize; m];
+        let mut observations = vec![0usize; m];
         let mut mixed = vec![false; m];
         for i in 0..n {
             let e = EntryId::from_index(i);
             let p = table.entry(e).property.index();
             counts[p] += 1;
+            observations[p] += table.observations(e).len();
             let want = ptypes[p];
             for (_, v) in table.observations(e) {
                 if v.property_type() != want {
@@ -291,6 +302,7 @@ impl ColumnarTable {
                     rows: Vec::with_capacity(rows_hint),
                     values: Vec::with_capacity(rows_hint * k),
                     valid: Bitmap::zeroed(rows_hint, k),
+                    observations: observations[p],
                 })),
                 PropertyType::Categorical | PropertyType::Text => {
                     let dict = if def.ptype == PropertyType::Text {
@@ -320,7 +332,7 @@ impl ColumnarTable {
                 PropertyColumn::Num(col) => {
                     let row = col.rows.len();
                     col.rows.push(row_id);
-                    col.values.resize((row + 1) * k, 0.0);
+                    col.values.resize((row + 1) * k, f64::NAN);
                     let base = row * k;
                     for (s, v) in table.observations(e) {
                         // unreachable fallback: pass 1 proved the type
@@ -432,6 +444,46 @@ impl ColumnarTable {
     }
 }
 
+/// The weighted-median sort of one [`NumColumn`], taken once per solve:
+/// Algorithm 1 changes only the weights between iterations, never the
+/// claims, so the value order behind Eq 16 is fixed.
+#[derive(Debug, Clone, Default)]
+pub struct MedianOrder {
+    /// `starts[r]..starts[r + 1]` is row `r`'s span of `sources`.
+    starts: Vec<usize>,
+    /// Each row's claimed source ids, sorted by `total_cmp` value with
+    /// ties in ascending source order — the order a stable sort of the
+    /// row path's source-ordered observations yields.
+    sources: Vec<u32>,
+}
+
+impl MedianOrder {
+    /// Sort every row of `col`; `k` is the row width.
+    fn build(col: &NumColumn, k: usize) -> Self {
+        let rows = col.rows.len();
+        let mut starts = Vec::with_capacity(rows + 1);
+        let mut sources = Vec::with_capacity(col.observations);
+        starts.push(0);
+        for r in 0..rows {
+            let values = col.values_row(r, k);
+            let start = sources.len();
+            for_each_valid(col.valid_row(r), |s| sources.push(s as u32));
+            sources[start..].sort_unstable_by(|&a, &b| {
+                values[a as usize]
+                    .total_cmp(&values[b as usize])
+                    .then(a.cmp(&b))
+            });
+            starts.push(sources.len());
+        }
+        Self { starts, sources }
+    }
+
+    /// Row `r`'s claimed source ids in median order.
+    pub fn row(&self, r: usize) -> &[u32] {
+        &self.sources[self.starts[r]..self.starts[r + 1]]
+    }
+}
+
 /// A [`ColumnarTable`] plus the per-property [`KernelClass`] resolution —
 /// everything the solver kernels need to route each property to its fast
 /// sweep or keep the exact row path.
@@ -442,14 +494,17 @@ pub struct ColumnarPlan {
     /// Per-property kernel class: a fast class only when the property's
     /// loss advertises one *and* the column layout supports it.
     pub class: Vec<KernelClass>,
+    /// Per-property median order: sorted rows for every
+    /// [`Median`](KernelClass::Median) property, empty for the rest.
+    pub median: Vec<MedianOrder>,
 }
 
 impl ColumnarPlan {
-    /// Build the mirror and resolve each property's kernel class against
-    /// its configured loss.
+    /// Build the mirror, resolve each property's kernel class against its
+    /// configured loss, and sort the rows of every `Median` property.
     pub fn new(table: &ObservationTable, losses: &[Arc<dyn Loss>]) -> Result<Self> {
         let columnar = ColumnarTable::build(table)?;
-        let class = losses
+        let class: Vec<KernelClass> = losses
             .iter()
             .enumerate()
             .map(
@@ -465,9 +520,20 @@ impl ColumnarPlan {
                 },
             )
             .collect();
+        let median = class
+            .iter()
+            .enumerate()
+            .map(|(p, c)| match (c, columnar.column(p)) {
+                (KernelClass::Median, PropertyColumn::Num(col)) => {
+                    MedianOrder::build(col, columnar.num_sources)
+                }
+                _ => MedianOrder::default(),
+            })
+            .collect();
         Ok(Self {
             table: columnar,
             class,
+            median,
         })
     }
 }

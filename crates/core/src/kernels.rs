@@ -24,12 +24,20 @@
 //!    iterate the validity bitmap's set bits in that same ascending order,
 //!    so every intermediate sum associates identically. Masked arithmetic
 //!    is *not* used for fits: `0.0 * x` can yield `-0.0` and flip the sign
-//!    of an accumulator that the row path never touched.
-//! 2. **Deviation sweeps may be branch-free** because every loss term is
-//!    `>= +0.0` and the accumulators start at `+0.0`, so adding a literal
-//!    `0.0` for an invalid slot is the exact identity the row path gets by
-//!    not adding at all. The select `if valid { term } else { 0.0 }` has no
-//!    side effects and compiles to a masked blend over the column.
+//!    of an accumulator that the row path never touched. The median fit
+//!    walks a per-row source order sorted once per solve
+//!    ([`MedianOrder`](crate::columnar::MedianOrder)) — the same order the
+//!    row path's stable sort produces — through the shared
+//!    [`median_of_sorted`] scan.
+//! 2. **Deviation sweeps are branch-free selects on the column's own
+//!    sentinel.** Every loss term is `>= +0.0` and the accumulators start
+//!    at `+0.0`, so adding a literal `0.0` for an empty slot is the exact
+//!    identity the row path gets by not adding at all. Empty slots hold
+//!    `NaN` in an `f64` column and [`MISSING_CODE`] in a coded one (see
+//!    [`Slot`]), so the select `if present { term } else { 0.0 }` reads
+//!    only the slot it prices and compiles to a masked blend. Testing the
+//!    validity bitmap per slot instead measured 1.5–2× slower per slot
+//!    (DESIGN.md §15).
 //!
 //! Cross-chunk reduction uses [`pairwise_accumulate`]: a fixed pairwise
 //! tree over the chunk index, a pure function of the chunk count (which is
@@ -39,7 +47,8 @@
 //!
 //! [`Pool`]: crate::par::Pool
 
-use crate::loss::weighted_median;
+use crate::columnar::MISSING_CODE;
+use crate::loss::median_of_sorted;
 
 /// Which columnar fast path (if any) reproduces a loss exactly.
 ///
@@ -65,13 +74,10 @@ pub enum KernelClass {
 }
 
 /// Reusable per-chunk fit scratch: the vote tally (indexed by dense id,
-/// epoch-stamped so it clears in O(candidates) per entry) and the median's
-/// `(value, weight)` gather buffer. Sized lazily on first use; the
-/// steady-state iteration loop performs no allocation.
+/// epoch-stamped so it clears in O(candidates) per entry). Sized lazily on
+/// first use; the steady-state iteration loop performs no allocation.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FitScratch {
-    /// Gather buffer for [`fit_median`].
-    pub(crate) pairs: Vec<(f64, f64)>,
     /// `tally[code]` = accumulated vote weight for the current entry.
     tally: Vec<f64>,
     /// Codes observed in the current entry, in first-appearance order —
@@ -105,7 +111,7 @@ impl FitScratch {
 /// Visit the set bits of `valid` in ascending order — ascending source id,
 /// the exact iteration order of a row-path observation slice.
 #[inline]
-fn for_each_valid(valid: &[u64], mut f: impl FnMut(usize)) {
+pub(crate) fn for_each_valid(valid: &[u64], mut f: impl FnMut(usize)) {
     for (wi, &word) in valid.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
@@ -115,9 +121,26 @@ fn for_each_valid(valid: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-#[inline]
-fn is_set(valid: &[u64], k: usize) -> bool {
-    (valid[k >> 6] >> (k & 63)) & 1 != 0
+/// A column slot that marks its own absence in-band: `NaN` in an `f64`
+/// column (real claims are finite), [`MISSING_CODE`] in a coded column.
+/// The deviation sweeps select on it instead of on the validity bitmap.
+pub(crate) trait Slot: Copy {
+    /// Whether the slot holds a claim.
+    fn present(self) -> bool;
+}
+
+impl Slot for f64 {
+    #[inline]
+    fn present(self) -> bool {
+        !self.is_nan()
+    }
+}
+
+impl Slot for u32 {
+    #[inline]
+    fn present(self) -> bool {
+        self != MISSING_CODE
+    }
 }
 
 /// Weighted mean over one entry's column row (Eq 14), replaying
@@ -141,21 +164,30 @@ pub(crate) fn fit_mean(values: &[f64], valid: &[u64], weights: &[f64]) -> f64 {
     acc / wsum
 }
 
-/// Weighted median over one entry's column row (Eq 16): gathers the valid
-/// `(value, weight)` pairs in ascending source order — the row path's
-/// observation order — and defers to the shared [`weighted_median`].
+/// Weighted median over one entry's column row (Eq 16), replaying
+/// [`weighted_median`](crate::loss::weighted_median) exactly without
+/// gathering or sorting: the weight total is summed in ascending source
+/// order, a non-positive total falls back to unit weights, and `order` —
+/// the row's valid source ids sorted by value, ties ascending by source,
+/// which is what the row path's stable sort yields — feeds the shared
+/// [`median_of_sorted`] scan. Returns `None` only for an empty row.
 pub(crate) fn fit_median(
     values: &[f64],
     valid: &[u64],
+    order: &[u32],
     weights: &[f64],
-    pairs: &mut Vec<(f64, f64)>,
 ) -> Option<f64> {
-    pairs.clear();
-    for_each_valid(valid, |k| pairs.push((values[k], weights[k])));
-    if pairs.is_empty() {
-        return None;
+    let mut total = 0.0;
+    for_each_valid(valid, |k| total += weights[k]);
+    let unit = total <= 0.0;
+    if unit {
+        // the row path sums `1.0` once per observation: exactly the count
+        total = order.len() as f64;
     }
-    Some(weighted_median(pairs))
+    median_of_sorted(order.len(), total, |i| {
+        let s = order[i] as usize;
+        (values[s], if unit { 1.0 } else { weights[s] })
+    })
 }
 
 /// Weighted plurality vote over one entry's dense ids (Eq 9), replicating
@@ -199,66 +231,53 @@ pub(crate) fn fit_vote(
     best.map(|(c, _)| c)
 }
 
-/// Branch-free 0-1 deviation sweep (Eq 8): for every valid slot add
+/// Branch-free 0-1 deviation sweep (Eq 8): for every present slot add
 /// `scale * [code != truth]` to the per-source row. Term grouping matches
-/// the row path's `scale * loss` exactly; invalid slots add a literal
-/// `0.0`, the accumulation identity (all cells stay `>= +0.0`).
-pub(crate) fn dev_sweep_zero_one(
-    codes: &[u32],
-    valid: &[u64],
-    truth_code: u32,
-    scale: f64,
-    row: &mut [f64],
-) {
-    for (k, (&c, r)) in codes.iter().zip(row.iter_mut()).enumerate() {
+/// the row path's `scale * loss` exactly; [`MISSING_CODE`] slots add a
+/// literal `0.0`, the accumulation identity (all cells stay `>= +0.0`).
+pub(crate) fn dev_sweep_zero_one(codes: &[u32], truth_code: u32, scale: f64, row: &mut [f64]) {
+    for (&c, r) in codes.iter().zip(row.iter_mut()) {
         let l = if c == truth_code { 0.0 } else { 1.0 };
         let term = scale * l;
-        *r += if is_set(valid, k) { term } else { 0.0 };
+        *r += if c.present() { term } else { 0.0 };
     }
 }
 
 /// Branch-free normalized squared deviation sweep (Eq 13):
-/// `scale * ((t − v)² / std)` per valid slot, grouped exactly as the row
-/// path computes `scale * SquaredLoss::loss(..)`.
-pub(crate) fn dev_sweep_squared(
-    values: &[f64],
-    valid: &[u64],
-    truth: f64,
-    std: f64,
-    scale: f64,
-    row: &mut [f64],
-) {
-    for (k, (&v, r)) in values.iter().zip(row.iter_mut()).enumerate() {
+/// `scale * ((t − v)² / std)` per present slot, grouped exactly as the row
+/// path computes `scale * SquaredLoss::loss(..)`; `NaN` slots add `0.0`.
+pub(crate) fn dev_sweep_squared(values: &[f64], truth: f64, std: f64, scale: f64, row: &mut [f64]) {
+    for (&v, r) in values.iter().zip(row.iter_mut()) {
         let d = truth - v;
         let term = scale * (d * d / std);
-        *r += if is_set(valid, k) { term } else { 0.0 };
+        *r += if v.present() { term } else { 0.0 };
     }
 }
 
 /// Branch-free normalized absolute deviation sweep (Eq 15):
-/// `scale * (|t − v| / std)` per valid slot, grouped exactly as the row
-/// path computes `scale * AbsoluteLoss::loss(..)`.
+/// `scale * (|t − v| / std)` per present slot, grouped exactly as the row
+/// path computes `scale * AbsoluteLoss::loss(..)`; `NaN` slots add `0.0`.
 pub(crate) fn dev_sweep_absolute(
     values: &[f64],
-    valid: &[u64],
     truth: f64,
     std: f64,
     scale: f64,
     row: &mut [f64],
 ) {
-    for (k, (&v, r)) in values.iter().zip(row.iter_mut()).enumerate() {
+    for (&v, r) in values.iter().zip(row.iter_mut()) {
         let term = scale * ((truth - v).abs() / std);
-        *r += if is_set(valid, k) { term } else { 0.0 };
+        *r += if v.present() { term } else { 0.0 };
     }
 }
 
-/// Unit-penalty sweep: `scale * 1.0` per valid slot. This is the row
-/// path's type-confusion branch (a truth whose type cannot be priced
-/// against the column — e.g. a categorical point over an `f64` column)
-/// which charges the maximal unit deviation for every observation.
-pub(crate) fn dev_sweep_unit(valid: &[u64], scale: f64, row: &mut [f64]) {
-    for (k, r) in row.iter_mut().enumerate() {
-        *r += if is_set(valid, k) { scale } else { 0.0 };
+/// Unit-penalty sweep: `scale * 1.0` per present slot of either column
+/// kind. This is the row path's type-confusion branch (a truth whose type
+/// cannot be priced against the column — e.g. a categorical point over an
+/// `f64` column) which charges the maximal unit deviation for every
+/// observation.
+pub(crate) fn dev_sweep_unit<T: Slot>(slots: &[T], scale: f64, row: &mut [f64]) {
+    for (&x, r) in slots.iter().zip(row.iter_mut()) {
+        *r += if x.present() { scale } else { 0.0 };
     }
 }
 
@@ -293,10 +312,16 @@ pub(crate) fn pairwise_accumulate(partials: &mut [f64], cell: usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::ids::SourceId;
-    use crate::loss::{AbsoluteLoss, Loss, SquaredLoss, ZeroOneLoss};
+    use crate::columnar::{ColumnarPlan, ColumnarTable, PropertyColumn};
+    use crate::ids::{EntryId, ObjectId, SourceId};
+    use crate::loss::{weighted_median, AbsoluteLoss, Loss, SquaredLoss, ZeroOneLoss};
+    use crate::rng::{Pcg64, Rng};
+    use crate::schema::Schema;
     use crate::stats::EntryStats;
+    use crate::table::{ObservationTable, TableBuilder};
     use crate::value::Value;
 
     fn words(mask: &[bool]) -> Vec<u64> {
@@ -352,11 +377,12 @@ mod tests {
             .fit(&obs, &weights, &EntryStats::trivial())
             .as_num()
             .unwrap();
-        let mut pairs = Vec::new();
-        let col = fit_median(&values, &words(&mask), &weights, &mut pairs).unwrap();
+        // valid sources by ascending value: 5.0, 10.0, 20.0
+        let order = [3u32, 0, 1];
+        let col = fit_median(&values, &words(&mask), &order, &weights).unwrap();
         assert_eq!(row.to_bits(), col.to_bits());
         assert_eq!(
-            fit_median(&values, &words(&[false; 4]), &weights, &mut pairs),
+            fit_median(&values, &words(&[false; 4]), &[], &weights),
             None
         );
     }
@@ -399,9 +425,8 @@ mod tests {
             std: 3.7,
             ..EntryStats::trivial()
         };
-        let values = [1.0, 2.5, -4.0, 8.0];
+        let values = [1.0, f64::NAN, -4.0, 8.0];
         let mask = [true, false, true, true];
-        let valid = words(&mask);
         let truth = 1.75f64;
         let scale = 2.5f64;
 
@@ -416,20 +441,20 @@ mod tests {
         }
         let mut col_sq = vec![0.0f64; 4];
         let mut col_abs = vec![0.0f64; 4];
-        dev_sweep_squared(&values, &valid, truth, stats.std, scale, &mut col_sq);
-        dev_sweep_absolute(&values, &valid, truth, stats.std, scale, &mut col_abs);
+        dev_sweep_squared(&values, truth, stats.std, scale, &mut col_sq);
+        dev_sweep_absolute(&values, truth, stats.std, scale, &mut col_abs);
         for k in 0..4 {
             assert_eq!(row_sq[k].to_bits(), col_sq[k].to_bits(), "squared k={k}");
             assert_eq!(row_abs[k].to_bits(), col_abs[k].to_bits(), "absolute k={k}");
         }
 
-        let codes = [3u32, 1, 3, 0];
+        let codes = [3u32, MISSING_CODE, 3, 0];
         let mut zo = vec![0.0f64; 4];
-        dev_sweep_zero_one(&codes, &valid, 3, scale, &mut zo);
+        dev_sweep_zero_one(&codes, 3, scale, &mut zo);
         assert_eq!(zo, vec![0.0, 0.0, 0.0, scale]);
 
         let mut unit = vec![0.0f64; 4];
-        dev_sweep_unit(&valid, scale, &mut unit);
+        dev_sweep_unit(&values, scale, &mut unit);
         assert_eq!(unit, vec![scale, 0.0, scale, scale]);
     }
 
@@ -454,6 +479,232 @@ mod tests {
         let mut one = vec![4.0, 5.0];
         pairwise_accumulate(&mut one, 2);
         assert_eq!(one, vec![4.0, 5.0]);
+    }
+
+    /// Values drawn from a short ladder with a signed-zero pair, so rows
+    /// are tie-heavy and `-0.0`/`+0.0` land in one `==` run.
+    const LADDER: [f64; 6] = [-2.0, -0.0, 0.0, 0.0, 1.0, 3.5];
+
+    /// A one-property continuous table over `K = 70` sources (two bitmap
+    /// words per row). Row shapes cycle through tie-heavy, a single claim,
+    /// near-continuous noise, and every source present.
+    fn tie_heavy_table(seed: u64) -> ObservationTable {
+        let mut rng = Pcg64::seed_from_u64(seed);
+        let mut schema = Schema::new();
+        let x = schema.add_continuous("x");
+        let mut b = TableBuilder::new(schema);
+        let ladder = |rng: &mut Pcg64| LADDER[rng.random_range(0..LADDER.len())];
+        for o in 0..120u32 {
+            let (obj, k) = (ObjectId(o), K as u32);
+            match o % 4 {
+                0 => {
+                    for s in 0..k {
+                        if rng.random_range(0..10u32) < 8 {
+                            b.add(obj, x, SourceId(s), Value::Num(ladder(&mut rng)))
+                                .unwrap();
+                        }
+                    }
+                }
+                1 => {
+                    let s = rng.random_range(0..k);
+                    b.add(obj, x, SourceId(s), Value::Num(ladder(&mut rng)))
+                        .unwrap();
+                }
+                2 => {
+                    for s in 0..k {
+                        if rng.random_range(0..10u32) < 5 {
+                            let v = rng.random_range(0..1000u32) as f64 / 7.0 - 50.0;
+                            b.add(obj, x, SourceId(s), Value::Num(v)).unwrap();
+                        }
+                    }
+                }
+                _ => {
+                    for s in 0..k {
+                        b.add(obj, x, SourceId(s), Value::Num(ladder(&mut rng)))
+                            .unwrap();
+                    }
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    const K: usize = 70;
+
+    #[test]
+    fn presorted_median_matches_weighted_median_bitwise() {
+        let table = tie_heavy_table(11);
+        assert_eq!(table.num_sources(), K);
+        let losses: Vec<Arc<dyn Loss>> = vec![Arc::new(AbsoluteLoss)];
+        let plan = ColumnarPlan::new(&table, &losses).unwrap();
+        assert_eq!(plan.class[0], KernelClass::Median);
+        let PropertyColumn::Num(col) = plan.table.column(0) else {
+            panic!("continuous property must be a num column");
+        };
+
+        let mut rng = Pcg64::seed_from_u64(5);
+        let mut weight_sets: Vec<Vec<f64>> = vec![
+            vec![0.0; K],  // zero total: unit-weight fallback
+            vec![-0.0; K], // signed-zero total: same fallback
+            vec![1.0; K],  // integer weights hit `above == W/2` exactly
+        ];
+        for _ in 0..4 {
+            // positive, with exact-half ties from small integers
+            weight_sets.push((0..K).map(|_| rng.random_range(0..3u32) as f64).collect());
+            weight_sets.push(
+                (0..K)
+                    .map(|_| rng.random_range(1..1000u32) as f64 / 100.0)
+                    .collect(),
+            );
+            // mixed signs: some rows total <= 0, others positive
+            weight_sets.push(
+                (0..K)
+                    .map(|_| rng.random_range(0..200u32) as f64 / 100.0 - 1.1)
+                    .collect(),
+            );
+        }
+
+        let (mut fallbacks, mut signed_zero_runs, mut singles) = (0, 0, 0);
+        for (r, &entry) in plan.table.column(0).rows().iter().enumerate() {
+            let obs = table.observations(EntryId(entry));
+            let vals = col.values_row(r, K);
+            let order = plan.median[0].row(r);
+            // the order is the stable value sort of the source-ordered claims
+            let mut want: Vec<u32> = obs.iter().map(|(s, _)| s.0).collect();
+            want.sort_by(|&a, &b| vals[a as usize].total_cmp(&vals[b as usize]));
+            assert_eq!(order, want.as_slice(), "row {r}: median order");
+            singles += usize::from(obs.len() == 1);
+            let has = |z: f64| {
+                obs.iter()
+                    .any(|(_, v)| v.as_num().unwrap().to_bits() == z.to_bits())
+            };
+            signed_zero_runs += usize::from(has(0.0) && has(-0.0));
+
+            for w in &weight_sets {
+                let pairs: Vec<(f64, f64)> = obs
+                    .iter()
+                    .map(|(s, v)| (v.as_num().unwrap(), w[s.index()]))
+                    .collect();
+                fallbacks += usize::from(pairs.iter().map(|p| p.1).sum::<f64>() <= 0.0);
+                let row = weighted_median(&pairs);
+                let fast = fit_median(vals, col.valid_row(r), order, w).unwrap();
+                assert_eq!(row.to_bits(), fast.to_bits(), "row {r}, weights {w:?}");
+                let fit = AbsoluteLoss.fit(obs, w, &EntryStats::trivial());
+                assert_eq!(fit.as_num().unwrap().to_bits(), fast.to_bits());
+            }
+        }
+        assert!(singles > 0 && signed_zero_runs > 0 && fallbacks > weight_sets.len());
+    }
+
+    #[test]
+    fn sentinel_sweeps_match_row_terms_with_signed_zeros() {
+        let mut schema = Schema::new();
+        let x = schema.add_continuous("x");
+        let c = schema.add_categorical("c");
+        let mut b = TableBuilder::new(schema);
+        let mut rng = Pcg64::seed_from_u64(3);
+        let labels = ["a", "b", "c"];
+        for o in 0..8u32 {
+            for s in 0..K as u32 {
+                if rng.random_range(0..3u32) != 0 {
+                    let v = LADDER[rng.random_range(0..LADDER.len())];
+                    b.add(ObjectId(o), x, SourceId(s), Value::Num(v)).unwrap();
+                }
+                if rng.random_range(0..3u32) != 0 {
+                    let l = labels[rng.random_range(0..3usize)];
+                    b.add_label(ObjectId(o), c, SourceId(s), l).unwrap();
+                }
+            }
+        }
+        let table = b.build().unwrap();
+        let columnar = ColumnarTable::build(&table).unwrap();
+        let stats = EntryStats {
+            std: 0.75,
+            ..EntryStats::trivial()
+        };
+        let (PropertyColumn::Num(num), PropertyColumn::Coded(coded)) =
+            (columnar.column(x.index()), columnar.column(c.index()))
+        else {
+            panic!("expected a num and a coded column");
+        };
+
+        let mut zeros = 0;
+        for (r, &entry) in columnar.column(x.index()).rows().iter().enumerate() {
+            let obs = table.observations(EntryId(entry));
+            let vals = num.values_row(r, K);
+            let claimed: Vec<bool> = (0..K)
+                .map(|s| columnar.value(x.index(), r, s).is_some())
+                .collect();
+            for (s, &on) in claimed.iter().enumerate() {
+                assert_eq!(vals[s].is_nan(), !on, "row {r} slot {s}: NaN marks empty");
+            }
+            // the mirror stays lossless for signed zeros
+            for (s, v) in obs {
+                let back = columnar.value(x.index(), r, s.index()).unwrap();
+                assert_eq!(
+                    back.as_num().unwrap().to_bits(),
+                    v.as_num().unwrap().to_bits()
+                );
+                zeros += usize::from(v.as_num() == Some(0.0));
+            }
+            for truth in [0.0, -0.0, 1.25] {
+                let t = crate::value::Truth::Point(Value::Num(truth));
+                for scale in [1.0, 2.5] {
+                    let (mut row_sq, mut row_abs) = (vec![0.0f64; K], vec![0.0f64; K]);
+                    for (s, v) in obs {
+                        row_sq[s.index()] += scale * SquaredLoss.loss(&t, v, &stats);
+                        row_abs[s.index()] += scale * AbsoluteLoss.loss(&t, v, &stats);
+                    }
+                    let (mut col_sq, mut col_abs) = (vec![0.0f64; K], vec![0.0f64; K]);
+                    dev_sweep_squared(vals, truth, stats.std, scale, &mut col_sq);
+                    dev_sweep_absolute(vals, truth, stats.std, scale, &mut col_abs);
+                    let mut unit = vec![0.0f64; K];
+                    dev_sweep_unit(vals, scale, &mut unit);
+                    for s in 0..K {
+                        assert_eq!(row_sq[s].to_bits(), col_sq[s].to_bits(), "sq r={r} s={s}");
+                        assert_eq!(
+                            row_abs[s].to_bits(),
+                            col_abs[s].to_bits(),
+                            "abs r={r} s={s}"
+                        );
+                        let want = if claimed[s] { scale } else { 0.0 };
+                        assert_eq!(unit[s].to_bits(), want.to_bits(), "unit r={r} s={s}");
+                    }
+                }
+            }
+        }
+        assert!(zeros > 0, "the table must carry signed-zero claims");
+
+        for (r, &entry) in columnar.column(c.index()).rows().iter().enumerate() {
+            let obs = table.observations(EntryId(entry));
+            let codes = coded.codes_row(r, K);
+            let claimed: Vec<bool> = (0..K)
+                .map(|s| columnar.value(c.index(), r, s).is_some())
+                .collect();
+            for (s, &code) in codes.iter().enumerate() {
+                assert_eq!(code == MISSING_CODE, !claimed[s], "row {r} slot {s}");
+            }
+            for truth in 0..3u32 {
+                let t = crate::value::Truth::Point(Value::Cat(truth));
+                let mut row_zo = vec![0.0f64; K];
+                for (s, v) in obs {
+                    row_zo[s.index()] += 2.5 * ZeroOneLoss.loss(&t, v, &stats);
+                }
+                let mut col_zo = vec![0.0f64; K];
+                dev_sweep_zero_one(codes, truth, 2.5, &mut col_zo);
+                let mut unit = vec![0.0f64; K];
+                dev_sweep_unit(codes, 2.5, &mut unit);
+                for s in 0..K {
+                    assert_eq!(
+                        row_zo[s].to_bits(),
+                        col_zo[s].to_bits(),
+                        "zero-one r={r} s={s}"
+                    );
+                    let want: f64 = if claimed[s] { 2.5 } else { 0.0 };
+                    assert_eq!(unit[s].to_bits(), want.to_bits(), "unit r={r} s={s}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::ids::SourceId;
 use crate::stats::EntryStats;
 use crate::value::{PropertyType, Truth, Value};
 
-use super::{median::weighted_median, Loss};
+use super::{median::weighted_median_in_place, Loss};
 
 /// The normalized absolute deviation of §2.4.2:
 ///
@@ -34,11 +34,11 @@ impl Loss for AbsoluteLoss {
 
     fn fit(&self, obs: &[(SourceId, Value)], weights: &[f64], _stats: &EntryStats) -> Truth {
         debug_assert!(!obs.is_empty(), "fit on empty observation group");
-        let pairs: Vec<(f64, f64)> = obs
+        let mut pairs: Vec<(f64, f64)> = obs
             .iter()
             .filter_map(|(s, v)| v.as_num().map(|x| (x, weights[s.index()])))
             .collect();
-        Truth::Point(Value::Num(weighted_median(&pairs)))
+        Truth::Point(Value::Num(weighted_median_in_place(&mut pairs)))
     }
 
     fn is_convex(&self) -> bool {

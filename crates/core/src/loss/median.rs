@@ -17,40 +17,65 @@
 /// # Panics
 /// Panics if `pairs` is empty.
 pub fn weighted_median(pairs: &[(f64, f64)]) -> f64 {
-    assert!(!pairs.is_empty(), "weighted_median of empty set");
-    let mut sorted: Vec<(f64, f64)> = pairs.to_vec();
-    let total: f64 = sorted.iter().map(|(_, w)| w).sum();
+    weighted_median_in_place(&mut pairs.to_vec())
+}
+
+/// [`weighted_median`] over a caller-owned buffer, which it sorts in place
+/// (and whose weights it overwrites on the equal-weight fallback).
+///
+/// # Panics
+/// Panics if `pairs` is empty.
+pub(crate) fn weighted_median_in_place(pairs: &mut [(f64, f64)]) -> f64 {
+    let total: f64 = pairs.iter().map(|(_, w)| w).sum();
     if total <= 0.0 {
-        let w = 1.0;
-        for p in &mut sorted {
-            p.1 = w;
+        for p in pairs.iter_mut() {
+            p.1 = 1.0;
         }
     }
-    let total: f64 = sorted.iter().map(|(_, w)| w).sum();
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let total: f64 = pairs.iter().map(|(_, w)| w).sum();
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    // crh-lint: allow(panic-expect) — documented contract: callers pass ≥1 pair, and the scan of a non-empty slice always yields a value
+    median_of_sorted(pairs.len(), total, |i| pairs[i]).expect("weighted_median of empty set")
+}
 
+/// The Eq 16 scan over `len` pairs already in ascending `total_cmp` value
+/// order, with `at(i)` the `i`-th `(value, weight)` and `total` their
+/// weight sum. Runs of `==` values merge (so `-0.0` and `+0.0` form one
+/// run, reported by its first value); the first run with
+/// `below < W/2` and `above <= W/2` wins. Numerical slack can skip the
+/// condition, in which case the largest value is returned. `None` only
+/// for `len == 0`. Shared by [`weighted_median`] and the columnar median
+/// kernel, which walks a presorted source order instead of a sorted copy.
+#[inline]
+pub(crate) fn median_of_sorted(
+    len: usize,
+    total: f64,
+    at: impl Fn(usize) -> (f64, f64),
+) -> Option<f64> {
     let half = total / 2.0;
     let mut below = 0.0; // Σ w_k over v_k strictly before the candidate run
     let mut i = 0;
-    while i < sorted.len() {
+    while i < len {
         // merge the run of equal values
-        let v = sorted[i].0;
+        let v = at(i).0;
         let mut run_w = 0.0;
         let mut j = i;
-        while j < sorted.len() && sorted[j].0 == v {
-            run_w += sorted[j].1;
+        while j < len {
+            let (x, w) = at(j);
+            if x != v {
+                break;
+            }
+            run_w += w;
             j += 1;
         }
         let above = total - below - run_w;
         if below < half && above <= half {
-            return v;
+            return Some(v);
         }
         below += run_w;
         i = j;
     }
-    // Numerical slack can skip the condition; return the largest value.
-    // crh-lint: allow(panic-expect) — resolver contract: weighted_median is called with ≥1 observation, so `sorted` is non-empty
-    sorted.last().expect("non-empty").0
+    len.checked_sub(1).map(|last| at(last).0)
 }
 
 #[cfg(test)]

@@ -36,6 +36,7 @@ pub use absolute::AbsoluteLoss;
 pub use edit::{levenshtein, EditDistanceLoss};
 pub use ensemble::EnsembleLoss;
 pub use kl::KlDivergenceLoss;
+pub(crate) use median::median_of_sorted;
 pub use median::weighted_median;
 pub use prob_vector::ProbVectorLoss;
 pub use similarity::SimilarityLoss;

@@ -339,8 +339,8 @@ pub struct SolverScratch {
     /// Chunk-major partial deviations: chunk `c` owns
     /// `partials[c * rows * cols ..][.. rows * cols]`.
     partials: Vec<f64>,
-    /// One columnar fit scratch (vote tallies, median pair buffer) per
-    /// chunk, so the fused kernel stays allocation-free in steady state.
+    /// One columnar fit scratch (vote tallies) per chunk, so the fused
+    /// kernel stays allocation-free in steady state.
     fit: Vec<FitScratch>,
 }
 
@@ -555,7 +555,6 @@ fn fused_chunk_columnar(
                 for (r, &ri) in rows.iter().enumerate().take(hi).skip(lo) {
                     let i = ri as usize;
                     let vals = col.values_row(r, k);
-                    let valid = col.valid_row(r);
                     let (truth, scale) = match anchor_of(table, spec, i) {
                         Some((v, boost)) => match v.as_num() {
                             Some(t) => (t, boost),
@@ -574,32 +573,26 @@ fn fused_chunk_columnar(
                         },
                         None => {
                             let w = spec.weights.for_entry(i, p);
-                            (kernels::fit_mean(vals, valid, w), 1.0)
+                            (kernels::fit_mean(vals, col.valid_row(r), w), 1.0)
                         }
                     };
                     cells[i - range.start] = Truth::Point(Value::Num(truth));
                     let block = spec.dev_block_of.map_or(0, |b| b[i]);
                     let row = &mut partial[(block * m + p) * k..][..k];
-                    kernels::dev_sweep_squared(
-                        vals,
-                        valid,
-                        truth,
-                        prepared.stats[i].std,
-                        scale,
-                        row,
-                    );
+                    kernels::dev_sweep_squared(vals, truth, prepared.stats[i].std, scale, row);
                 }
             }
             (PropertyColumn::Num(col), KernelClass::Median) => {
+                let order = &plan.median[p];
                 for (r, &ri) in rows.iter().enumerate().take(hi).skip(lo) {
                     let i = ri as usize;
                     let vals = col.values_row(r, k);
-                    let valid = col.valid_row(r);
                     let fitted = match anchor_of(table, spec, i) {
                         Some((v, boost)) => v.as_num().map(|t| (t, boost)),
                         None => {
                             let w = spec.weights.for_entry(i, p);
-                            kernels::fit_median(vals, valid, w, &mut fit.pairs).map(|t| (t, 1.0))
+                            kernels::fit_median(vals, col.valid_row(r), order.row(r), w)
+                                .map(|t| (t, 1.0))
                         }
                     };
                     let Some((truth, scale)) = fitted else {
@@ -617,14 +610,7 @@ fn fused_chunk_columnar(
                     cells[i - range.start] = Truth::Point(Value::Num(truth));
                     let block = spec.dev_block_of.map_or(0, |b| b[i]);
                     let row = &mut partial[(block * m + p) * k..][..k];
-                    kernels::dev_sweep_absolute(
-                        vals,
-                        valid,
-                        truth,
-                        prepared.stats[i].std,
-                        scale,
-                        row,
-                    );
+                    kernels::dev_sweep_absolute(vals, truth, prepared.stats[i].std, scale, row);
                 }
             }
             (PropertyColumn::Coded(col), KernelClass::Vote) => {
@@ -632,7 +618,6 @@ fn fused_chunk_columnar(
                 for (r, &ri) in rows.iter().enumerate().take(hi).skip(lo) {
                     let i = ri as usize;
                     let codes = col.codes_row(r, k);
-                    let valid = col.valid_row(r);
                     let fitted = match anchor_of(table, spec, i) {
                         Some((v, boost)) => match v {
                             Value::Cat(c) => Some((*c, boost)),
@@ -640,7 +625,8 @@ fn fused_chunk_columnar(
                         },
                         None => {
                             let w = spec.weights.for_entry(i, p);
-                            kernels::fit_vote(codes, valid, w, fit, domain).map(|c| (c, 1.0))
+                            kernels::fit_vote(codes, col.valid_row(r), w, fit, domain)
+                                .map(|c| (c, 1.0))
                         }
                     };
                     let Some((code, scale)) = fitted else {
@@ -658,7 +644,7 @@ fn fused_chunk_columnar(
                     cells[i - range.start] = Truth::Point(Value::Cat(code));
                     let block = spec.dev_block_of.map_or(0, |b| b[i]);
                     let row = &mut partial[(block * m + p) * k..][..k];
-                    kernels::dev_sweep_zero_one(codes, valid, code, scale, row);
+                    kernels::dev_sweep_zero_one(codes, code, scale, row);
                 }
             }
             _ => {
@@ -802,18 +788,17 @@ fn dev_chunk_columnar(
                 for (r, &ri) in rows.iter().enumerate().take(hi).skip(lo) {
                     let i = ri as usize;
                     let vals = col.values_row(r, k);
-                    let valid = col.valid_row(r);
                     let row = &mut partial[p * k..][..k];
                     match truths.get(EntryId::from_index(i)).as_num() {
                         Some(t) => {
                             let std = prepared.stats[i].std;
                             if class == KernelClass::Mean {
-                                kernels::dev_sweep_squared(vals, valid, t, std, 1.0, row);
+                                kernels::dev_sweep_squared(vals, t, std, 1.0, row);
                             } else {
-                                kernels::dev_sweep_absolute(vals, valid, t, std, 1.0, row);
+                                kernels::dev_sweep_absolute(vals, t, std, 1.0, row);
                             }
                         }
-                        None => kernels::dev_sweep_unit(valid, 1.0, row),
+                        None => kernels::dev_sweep_unit(vals, 1.0, row),
                     }
                 }
             }
@@ -821,7 +806,6 @@ fn dev_chunk_columnar(
                 for (r, &ri) in rows.iter().enumerate().take(hi).skip(lo) {
                     let i = ri as usize;
                     let codes = col.codes_row(r, k);
-                    let valid = col.valid_row(r);
                     let row = &mut partial[p * k..][..k];
                     // replicate `truth.point().matches(obs)` without the clone
                     let tc = match truths.get(EntryId::from_index(i)) {
@@ -830,8 +814,8 @@ fn dev_chunk_columnar(
                         _ => None,
                     };
                     match tc {
-                        Some(c) => kernels::dev_sweep_zero_one(codes, valid, c, 1.0, row),
-                        None => kernels::dev_sweep_unit(valid, 1.0, row),
+                        Some(c) => kernels::dev_sweep_zero_one(codes, c, 1.0, row),
+                        None => kernels::dev_sweep_unit(codes, 1.0, row),
                     }
                 }
             }
@@ -929,14 +913,15 @@ fn fit_chunk_columnar(
                 }
             }
             (PropertyColumn::Num(col), KernelClass::Median) => {
+                let order = &plan.median[p];
                 for (r, &ri) in rows.iter().enumerate().take(hi).skip(lo) {
                     let i = ri as usize;
                     let w = weights.for_entry(i, p);
                     match kernels::fit_median(
                         col.values_row(r, k),
                         col.valid_row(r),
+                        order.row(r),
                         w,
-                        &mut fit.pairs,
                     ) {
                         Some(t) => cells[i - range.start] = Truth::Point(Value::Num(t)),
                         None => fit_entry(prepared, weights, i, &mut cells[i - range.start]),

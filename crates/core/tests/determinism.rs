@@ -595,3 +595,128 @@ fn single_block_variants_reduce_to_plain_crh_bitwise() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Wide, tie-heavy tables
+// ---------------------------------------------------------------------------
+
+/// Continuous claims drawn from a short ladder with both signed zeros, so
+/// weighted-median rows are dominated by `==` runs (and `-0.0`/`+0.0`
+/// share one).
+const TIE_LADDER: [f64; 7] = [-3.0, -1.5, -0.0, 0.0, 0.5, 0.5, 2.0];
+
+/// ~300 objects × 2 properties × 70 sources (two validity-bitmap words per
+/// row) at ~60% density. Source `s` reports the object's ladder rung with
+/// a probability that falls with `s`, otherwise a random rung, so
+/// reliabilities differ while almost every median row holds ties.
+fn tie_heavy_wide_table(seed: u64) -> ObservationTable {
+    let mut rng = Pcg64::seed_from_u64(seed);
+    let mut schema = Schema::new();
+    let temp = schema.add_continuous("temp");
+    let cond = schema.add_categorical("cond");
+    let mut b = TableBuilder::new(schema);
+    let labels = ["clear", "cloudy", "storm"];
+    for i in 0..300u32 {
+        for s in 0..70u32 {
+            let honest = rng.random_range(0..70u32) >= s;
+            if rng.random_range(0..10u32) < 6 {
+                let rung = if honest {
+                    i as usize % TIE_LADDER.len()
+                } else {
+                    rng.random_range(0..TIE_LADDER.len())
+                };
+                b.add(ObjectId(i), temp, SourceId(s), Value::Num(TIE_LADDER[rung]))
+                    .unwrap();
+            }
+            if rng.random_range(0..10u32) < 6 {
+                let l = if honest {
+                    labels[(i % 3) as usize]
+                } else {
+                    labels[rng.random_range(0..3usize)]
+                };
+                b.add_label(ObjectId(i), cond, SourceId(s), l).unwrap();
+            }
+        }
+    }
+    b.build().unwrap()
+}
+
+/// The columnar sweeps must match the row reference on wide rows (a second
+/// bitmap word) and tie-heavy medians with signed zeros, for every solver
+/// variant and the unfused oracle, at every thread count.
+#[test]
+fn columnar_matches_row_reference_on_wide_tie_heavy_tables() {
+    for seed in SEEDS.iter().take(2) {
+        let table = tie_heavy_wide_table(*seed);
+        assert_eq!(table.num_sources(), 70);
+        assert!(
+            table.num_entries() > 256,
+            "table must span multiple kernel chunks"
+        );
+        let anchors = anchors_for(&table);
+        let plain = |columnar: bool, threads: usize| {
+            digest_plain(
+                &CrhBuilder::new()
+                    .columnar(columnar)
+                    .threads(threads)
+                    .max_iters(25)
+                    .tolerance(1e-9)
+                    .build()
+                    .unwrap()
+                    .run(&table)
+                    .unwrap(),
+            )
+        };
+        let fine = |columnar: bool, threads: usize| {
+            digest_grouped(
+                &FineGrainedCrh::per_property(2)
+                    .unwrap()
+                    .columnar(columnar)
+                    .threads(threads)
+                    .max_iters(25)
+                    .run(&table)
+                    .unwrap(),
+            )
+        };
+        let grouped = |columnar: bool, threads: usize| {
+            digest_grouped(
+                &ObjectGroupedCrh::new(3, |o: ObjectId| (o.0 % 3) as usize)
+                    .unwrap()
+                    .columnar(columnar)
+                    .threads(threads)
+                    .max_iters(25)
+                    .run(&table)
+                    .unwrap(),
+            )
+        };
+        let semi = |columnar: bool, threads: usize| {
+            digest_plain(
+                &SemiSupervisedCrh::new(anchors.clone())
+                    .unwrap()
+                    .columnar(columnar)
+                    .threads(threads)
+                    .max_iters(25)
+                    .run(&table)
+                    .unwrap(),
+            )
+        };
+        let oracle = |columnar: bool, threads: usize| {
+            digest_plain(&unfused_oracle(&table, columnar, threads, 20, 1e-9))
+        };
+        let check = |name: &str, run: &dyn Fn(bool, usize) -> u64| {
+            let reference = run(false, 1);
+            for threads in COL_THREADS {
+                assert_eq!(
+                    run(true, threads),
+                    reference,
+                    "seed {seed}: {name} columnar threads={threads} diverged from the row path"
+                );
+            }
+        };
+        check("plain", &plain);
+        check("fine-grained", &fine);
+        check("object-grouped", &grouped);
+        check("semi-supervised", &semi);
+        check("unfused oracle", &oracle);
+    }
+}
